@@ -9,7 +9,8 @@ laplace-check   residuals of the transform identity linking creep and relaxation
 figures         the four reference CSVs (creep and relaxation, linear and log)
 
 Exit status: 0 on success, 1 on validation failure, 2 when a check
-subcommand exceeds its documented tolerance.
+subcommand exceeds its documented tolerance.  Inputs must be finite, and
+the solving subcommands take at most MAX_STEPS = t-max/h steps.
 """
 
 from __future__ import annotations
@@ -23,12 +24,16 @@ from pathlib import Path
 import numpy as np
 
 from .creep import MaterialParameters, creep_psi
-from .laplace import HorizonError, check_laplace_identity
+from .laplace import check_laplace_identity
 from .operators import OperatorConfig, verify_eigenfunction, verify_power_law_property
-from .relaxation import StepSizeError, UniformGrid, solve_relaxation
-from .special_functions import gamma
+from .relaxation import UniformGrid, solve_relaxation
+from .special_functions import ConvergenceError, gamma
 
-__all__ = ["RunConfig", "main", "run"]
+__all__ = ["MAX_STEPS", "RunConfig", "main", "run"]
+
+# step budget n = t_max/h of relax, figures and laplace-check: the solve is
+# O(n log n), but the CSV rows are built in Python
+MAX_STEPS = 10**6
 
 _FIGURE_ORDERS = (0.25, 0.5, 0.75, 1.0)
 _PROBES = (0.5, 1.0, 2.0, 5.0)
@@ -61,14 +66,22 @@ class RunConfig:
         for nu in self.nu_list:
             if not 0.0 < nu <= 1.0:
                 raise _ValidationError(f"orders must lie in (0, 1], got {nu}")
-        if self.q <= 0.0 or self.tau0 <= 0.0:
-            raise _ValidationError("q and tau0 must be positive")
-        if self.h <= 0.0:
-            raise _ValidationError("step h must be positive")
-        if self.t_max < 0.0:
-            raise _ValidationError("t-max must be nonnegative")
+        # written so that NaN fails each test
+        if not (0.0 < self.q < math.inf and 0.0 < self.tau0 < math.inf):
+            raise _ValidationError("q and tau0 must be positive and finite")
+        if not 0.0 < self.h < math.inf:
+            raise _ValidationError("step h must be positive and finite")
+        if not 0.0 <= self.t_max < math.inf:
+            raise _ValidationError("t-max must be nonnegative and finite")
         if self.fmt not in ("csv", "table"):
             raise _ValidationError(f"unknown format {self.fmt!r}")
+        if self.subcommand in ("relax", "figures", "laplace-check") and not (
+            self.t_max / self.h <= MAX_STEPS
+        ):
+            raise _ValidationError(
+                f"t-max/h = {self.t_max / self.h:.4g} steps exceeds the budget of "
+                f"{MAX_STEPS} steps; use a larger h or a smaller t-max"
+            )
         if self.subcommand in ("relax", "figures"):
             # figures always solves the reference orders with q = tau0 = 1
             orders = _FIGURE_ORDERS if self.subcommand == "figures" else self.nu_list
@@ -85,27 +98,27 @@ def _fmt(v: float) -> str:
     return f"{v:.12g}"
 
 
-def _emit(header: list[str], rows: list[list[float]], cfg: RunConfig,
-          comment: str | None = None) -> None:
-    if cfg.fmt == "csv":
-        lines = [",".join(header)]
-        lines += [",".join(_fmt(v) for v in row) for row in rows]
-        if comment:
-            lines.append("# " + comment)
-        payload = "\n".join(lines) + "\n"
+def _emit(header: list[str], rows: list[list], fmt: str = "csv",
+          path: str | Path | None = None, comment: str | None = None,
+          numeric: bool = True) -> None:
+    """Write rows as CSV or as an aligned text table, to ``path`` or stdout.
+
+    Numeric rows hold floats, formatted here line by line and right-aligned
+    in tables; other rows hold preformatted strings, left-aligned.
+    """
+    cell, align = (_fmt, str.rjust) if numeric else (str, str.ljust)
+    if fmt == "csv":
+        lines = [",".join(header)] + [",".join(map(cell, row)) for row in rows]
     else:
-        widths = [
-            max(len(header[i]), *(len(_fmt(r[i])) for r in rows)) if rows else len(header[i])
-            for i in range(len(header))
-        ]
-        lines = ["  ".join(h.rjust(w) for h, w in zip(header, widths))]
-        for row in rows:
-            lines.append("  ".join(_fmt(v).rjust(w) for v, w in zip(row, widths)))
-        if comment:
-            lines.append("# " + comment)
-        payload = "\n".join(lines) + "\n"
-    if cfg.output_path:
-        Path(cfg.output_path).write_text(payload)
+        widths = [max(len(h), *(len(cell(r[i])) for r in rows)) if rows else len(h)
+                  for i, h in enumerate(header)]
+        lines = ["  ".join(align(h, w) for h, w in zip(header, widths))]
+        lines += ["  ".join(align(cell(v), w) for v, w in zip(row, widths)) for row in rows]
+    if comment:
+        lines.append("# " + comment)
+    payload = "\n".join(lines) + "\n"
+    if path:
+        Path(path).write_text(payload)
     else:
         sys.stdout.write(payload)
 
@@ -120,33 +133,40 @@ def _creep_times(cfg: RunConfig) -> np.ndarray:
     return np.linspace(0.0, cfg.t_max, 401)
 
 
-def _cmd_creep(cfg: RunConfig) -> int:
-    times = _creep_times(cfg)
-    params = [MaterialParameters(q=cfg.q, tau0=cfg.tau0, nu=nu) for nu in cfg.nu_list]
+def _creep_table(params: list[MaterialParameters],
+                 times) -> tuple[list[str], list[list[float]]]:
     header = ["t"] + [f"psi_nu={_fmt(p.nu)}" for p in params]
-    rows = [[t] + [creep_psi(p, t) for p in params] for t in map(float, times)]
-    _emit(header, rows, cfg)
+    return header, [[t] + [creep_psi(p, t) for p in params] for t in map(float, times)]
+
+
+def _grid(cfg: RunConfig) -> UniformGrid:
+    return UniformGrid(cfg.h, max(1, int(round(cfg.t_max / cfg.h))))
+
+
+def _relax_table(params: list[MaterialParameters],
+                 cfg: RunConfig) -> tuple[list[str], list[list[float]], str]:
+    """Header, rows and diagnostics comment of the solved relaxation curves."""
+    grid = _grid(cfg)
+    reports = [solve_relaxation(p, grid) for p in params]
+    header = ["t"] + [f"phi_nu={_fmt(p.nu)}" for p in params]
+    rows = np.column_stack([grid.times] + [r.solution.values for r in reports]).tolist()
+    comment = f"h={_fmt(cfg.h)}; " + "; ".join(
+        f"nu={_fmt(p.nu)}: gamma={_fmt(r.gamma)}, refinement_error={_fmt(r.refinement_error)}"
+        for p, r in zip(params, reports)
+    )
+    return header, rows, comment
+
+
+def _cmd_creep(cfg: RunConfig) -> int:
+    params = [MaterialParameters(q=cfg.q, tau0=cfg.tau0, nu=nu) for nu in cfg.nu_list]
+    _emit(*_creep_table(params, _creep_times(cfg)), cfg.fmt, cfg.output_path)
     return 0
 
 
 def _cmd_relax(cfg: RunConfig) -> int:
-    n = max(1, int(round(cfg.t_max / cfg.h)))
-    grid = UniformGrid(cfg.h, n)
-    reports = [
-        solve_relaxation(MaterialParameters(q=cfg.q, tau0=cfg.tau0, nu=nu), grid)
-        for nu in cfg.nu_list
-    ]
-    header = ["t"] + [f"phi_nu={_fmt(nu)}" for nu in cfg.nu_list]
-    times = grid.times
-    rows = [
-        [float(times[j])] + [float(r.solution.values[j]) for r in reports]
-        for j in range(n + 1)
-    ]
-    comment = f"h={_fmt(cfg.h)}; " + "; ".join(
-        f"nu={_fmt(nu)}: gamma={_fmt(r.gamma)}, refinement_error={_fmt(r.refinement_error)}"
-        for nu, r in zip(cfg.nu_list, reports)
-    )
-    _emit(header, rows, cfg, comment=comment)
+    params = [MaterialParameters(q=cfg.q, tau0=cfg.tau0, nu=nu) for nu in cfg.nu_list]
+    header, rows, comment = _relax_table(params, cfg)
+    _emit(header, rows, cfg.fmt, cfg.output_path, comment)
     return 0
 
 
@@ -178,7 +198,7 @@ def _cmd_operator_check(cfg: RunConfig, default_nus: bool) -> int:
             ["eigenfunction", _fmt(nu), "-", f"{err:.3e}",
              f"{_EIGEN_TOL:.0e}", "ok" if ok else "FAIL"]
         )
-    _emit_text_table(header, lines, cfg)
+    _emit(header, lines, cfg.fmt, cfg.output_path, numeric=False)
     if failed:
         print("operator-check: residuals exceed documented tolerances", file=sys.stderr)
         return 2
@@ -186,8 +206,7 @@ def _cmd_operator_check(cfg: RunConfig, default_nus: bool) -> int:
 
 
 def _cmd_laplace_check(cfg: RunConfig) -> int:
-    n = max(1, int(round(cfg.t_max / cfg.h)))
-    grid = UniformGrid(cfg.h, n)
+    grid = _grid(cfg)
     header = ["nu", "s", "residual", "tolerance", "status"]
     lines = []
     failed = False
@@ -202,76 +221,32 @@ def _cmd_laplace_check(cfg: RunConfig) -> int:
                 [_fmt(nu), _fmt(s), f"{res:.3e}", f"{_LAPLACE_TOL:.0e}",
                  "ok" if ok else "FAIL"]
             )
-    _emit_text_table(header, lines, cfg)
+    _emit(header, lines, cfg.fmt, cfg.output_path, numeric=False)
     if failed:
         print("laplace-check: residuals exceed documented tolerances", file=sys.stderr)
         return 2
     return 0
 
 
-def _emit_text_table(header: list[str], lines: list[list[str]], cfg: RunConfig) -> None:
-    if cfg.fmt == "csv":
-        payload = "\n".join([",".join(header)] + [",".join(row) for row in lines]) + "\n"
-    else:
-        widths = [
-            max(len(header[i]), *(len(r[i]) for r in lines)) if lines else len(header[i])
-            for i in range(len(header))
-        ]
-        out = ["  ".join(h.ljust(w) for h, w in zip(header, widths))]
-        out += ["  ".join(v.ljust(w) for v, w in zip(row, widths)) for row in lines]
-        payload = "\n".join(out) + "\n"
-    if cfg.output_path:
-        Path(cfg.output_path).write_text(payload)
-    else:
-        sys.stdout.write(payload)
-
-
 def _cmd_figures(cfg: RunConfig) -> int:
     out_dir = Path(cfg.output_path or "figures")
     out_dir.mkdir(parents=True, exist_ok=True)
     params = [MaterialParameters(nu=nu) for nu in _FIGURE_ORDERS]
+    _emit(*_creep_table(params, np.linspace(0.0, cfg.t_max, 401)),
+          path=out_dir / "creep_linear.csv")
+    _emit(*_creep_table(params, np.logspace(-3.0, 3.0, 400)), path=out_dir / "creep_log.csv")
 
-    def creep_rows(times):
-        return [[float(t)] + [creep_psi(p, float(t)) for p in params] for t in times]
-
-    creep_header = ["t"] + [f"psi_nu={_fmt(nu)}" for nu in _FIGURE_ORDERS]
-    lin_times = np.linspace(0.0, cfg.t_max, 401)
-    log_times = np.logspace(-3.0, 3.0, 400)
-    _write_csv(out_dir / "creep_linear.csv", creep_header, creep_rows(lin_times))
-    _write_csv(out_dir / "creep_log.csv", creep_header, creep_rows(log_times))
-
-    n = max(1, int(round(cfg.t_max / cfg.h)))
-    grid = UniformGrid(cfg.h, n)
-    reports = [solve_relaxation(p, grid) for p in params]
-    relax_header = ["t"] + [f"phi_nu={_fmt(nu)}" for nu in _FIGURE_ORDERS]
-    times = grid.times
-    all_rows = [
-        [float(times[j])] + [float(r.solution.values[j]) for r in reports]
-        for j in range(n + 1)
-    ]
-    comment = f"h={_fmt(cfg.h)}; " + "; ".join(
-        f"nu={_fmt(nu)}: gamma={_fmt(r.gamma)}, refinement_error={_fmt(r.refinement_error)}"
-        for nu, r in zip(_FIGURE_ORDERS, reports)
-    )
-    _write_csv(out_dir / "relax_linear.csv", relax_header, all_rows, comment=comment)
-
-    targets = np.logspace(math.log10(cfg.h), math.log10(grid.horizon), 200)
+    header, rows, comment = _relax_table(params, cfg)
+    _emit(header, rows, path=out_dir / "relax_linear.csv", comment=comment)
+    n = len(rows) - 1
+    targets = np.logspace(math.log10(cfg.h), math.log10(n * cfg.h), 200)
     idx = sorted(set(int(round(t / cfg.h)) for t in targets))
-    log_rows = [all_rows[j] for j in idx if 0 <= j <= n]
-    _write_csv(out_dir / "relax_log.csv", relax_header, log_rows, comment=comment)
+    log_rows = [rows[j] for j in idx if 0 <= j <= n]
+    _emit(header, log_rows, path=out_dir / "relax_log.csv", comment=comment)
 
     for name in ("creep_linear.csv", "creep_log.csv", "relax_linear.csv", "relax_log.csv"):
         print(out_dir / name)
     return 0
-
-
-def _write_csv(path: Path, header: list[str], rows: list[list[float]],
-               comment: str | None = None) -> None:
-    lines = [",".join(header)]
-    lines += [",".join(_fmt(v) for v in row) for row in rows]
-    if comment:
-        lines.append("# " + comment)
-    path.write_text("\n".join(lines) + "\n")
 
 
 def run(cfg: RunConfig, default_nus: bool = False) -> int:
@@ -289,7 +264,8 @@ def run(cfg: RunConfig, default_nus: bool = False) -> int:
         if cfg.subcommand == "figures":
             return _cmd_figures(cfg)
         raise _ValidationError(f"unknown subcommand {cfg.subcommand!r}")
-    except (_ValidationError, StepSizeError, HorizonError, ValueError) as exc:
+    # StepSizeError and HorizonError are ValueErrors; ConvergenceError is not
+    except (ValueError, ConvergenceError) as exc:
         print(f"lomnitz {cfg.subcommand}: {exc}", file=sys.stderr)
         return 1
 

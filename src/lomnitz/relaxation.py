@@ -133,17 +133,37 @@ def _max_admissible_step(p: MaterialParameters) -> float:
     return p.tau0 * math.expm1((gamma(1.0 + p.nu) / p.q) ** (1.0 / p.nu))
 
 
+def _series_inverse(a: np.ndarray) -> np.ndarray:
+    """First ``len(a)`` coefficients of the power series ``1/a(z)``.
+
+    Newton doubling ``b <- b - b (a b - 1)`` with FFT products solves the
+    lower-triangular Toeplitz system in O(n log n).  Each step writes only
+    the new coefficients ``b[m:2m]`` and leaves the converged ones as they
+    are.  In the length-2m cyclic product the wrap-around lands below
+    index m, where it is not read.
+    """
+    n = a.size
+    b = np.empty(n)
+    b[0] = 1.0 / a[0]
+    m = 1
+    while m < n:
+        k = min(2 * m, n)
+        fb = np.fft.rfft(b[:m], 2 * m)
+        e = np.fft.irfft(np.fft.rfft(a[:k], 2 * m) * fb, 2 * m)[m:k]
+        b[m:k] = -np.fft.irfft(np.fft.rfft(e, 2 * m) * fb, 2 * m)[: k - m]
+        m = k
+    return b
+
+
 def _forward_recursion(gamma_c: float, om: np.ndarray, n: int) -> np.ndarray:
-    phi = np.empty(n + 1)
-    phi[0] = 1.0
-    for k in range(1, n + 1):
-        phi[k] = 1.0 - gamma_c * float(np.dot(om[:k][::-1], phi[:k]))
-    return phi
+    # phi_k = 1 - gamma sum_j Omega_(k-j) phi_j  <=>  Phi(z) = 1/((1-z)(1+gamma W(z)))
+    return np.cumsum(_series_inverse(np.concatenate(([1.0], gamma_c * om[:n]))))
 
 
 def solve_relaxation(p: MaterialParameters, grid: UniformGrid) -> SolverReport:
     """Solve the relaxation equation by the explicit product-integration
-    recursion ``phi_n = 1 - gamma * sum_j Omega_(n-j) phi_j``.
+    recursion ``phi_n = 1 - gamma * sum_j Omega_(n-j) phi_j``, evaluated in
+    O(n log n) as a power-series inversion.
 
     The characteristic time is handled exactly by solving in rescaled time
     ``t/tau0`` and relabeling the grid.  The report carries the first few
@@ -214,8 +234,9 @@ def oracle_solve(p: MaterialParameters, grid: UniformGrid) -> SampledFunction:
 
     Uses a piecewise-linear representation of the solution with exact
     kernel moments against the linear interpolants (second-order product
-    integration), solving one scalar linear equation per step on a grid
-    refined four-fold, then restricting back to the input grid.
+    integration) on a grid refined four-fold, solving the resulting
+    Toeplitz system by series inversion, then restricting back to the input
+    grid.
     """
     refine = 4
     hf = grid.h / (refine * p.tau0)
@@ -228,14 +249,17 @@ def oracle_solve(p: MaterialParameters, grid: UniformGrid) -> SampledFunction:
     M0, M1 = _panel_moments(p.nu, hf, N)
     a = M1 / hf
     b = M0 - a
+    # the step equations form a Toeplitz system in phi_1..phi_N once the
+    # phi_0 = 1 terms move to the right-hand side
+    c = gamma_c * (b + np.concatenate(([0.0], a[:-1])))
+    c[0] += 1.0
+    r = 1.0 - gamma_c * a
+    size = 2 * N
     phi = np.empty(N + 1)
     phi[0] = 1.0
-    pivot = 1.0 + gamma_c * b[0]
-    for m in range(1, N + 1):
-        conv = float(np.dot(a[:m][::-1], phi[:m]))
-        if m >= 2:
-            conv += float(np.dot(b[1:m][::-1], phi[1:m]))
-        phi[m] = (1.0 - gamma_c * conv) / pivot
+    phi[1:] = np.fft.irfft(
+        np.fft.rfft(_series_inverse(c), size) * np.fft.rfft(r, size), size
+    )[:N]
     return SampledFunction(grid, phi[::refine].copy(), label=f"oracle nu={p.nu:g}")
 
 

@@ -1,10 +1,12 @@
 import math
+import time
 
 import numpy as np
 import pytest
 
 from lomnitz import cli
 from lomnitz.creep import MaterialParameters, creep_psi
+from lomnitz.special_functions import ConvergenceError
 
 
 def run_cli(argv):
@@ -137,3 +139,38 @@ class TestFigures:
         assert relax_rows[j, 0] == pytest.approx(0.01)
         phi = relax_rows[j, 1:]
         assert phi[0] < phi[1] < phi[2] < phi[3]
+
+
+class TestRobustness:
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("flag", ["--q", "--tau0", "--h", "--t-max", "--nu"])
+    def test_non_finite_input_exits_one(self, flag, value, capsys):
+        assert run_cli(["creep", flag, value]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("sub", ["relax", "figures", "laplace-check"])
+    def test_step_budget_exits_one_quickly(self, sub, tmp_path, capsys):
+        start = time.perf_counter()
+        code = run_cli([sub, "--h", "1e-6", "--t-max", "100",
+                        "--out", str(tmp_path / "out")])
+        assert time.perf_counter() - start < 0.5
+        assert code == 1
+        assert str(cli.MAX_STEPS) in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_step_budget_boundary(self):
+        cli.RunConfig("relax", h=1.0, t_max=float(cli.MAX_STEPS)).validate()
+        with pytest.raises(ValueError, match="budget"):
+            cli.RunConfig("relax", h=1.0, t_max=float(cli.MAX_STEPS + 1)).validate()
+
+    def test_convergence_error_exits_one(self, monkeypatch, capsys):
+        def fail(*args, **kwargs):
+            raise ConvergenceError("series did not terminate")
+
+        monkeypatch.setattr(cli, "verify_power_law_property", fail)
+        assert run_cli(["operator-check"]) == 1
+        err = capsys.readouterr().err
+        assert "series did not terminate" in err
+        assert "Traceback" not in err

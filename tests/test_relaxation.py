@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.interpolate import interp1d
@@ -12,6 +12,8 @@ from lomnitz.relaxation import (
     SampledFunction,
     StepSizeError,
     UniformGrid,
+    _gamma_constant,
+    _panel_moments,
     kernel,
     oracle_solve,
     relaxation_asymptotic,
@@ -248,3 +250,77 @@ class TestTypes:
             SampledFunction(g, np.zeros(5))
         with pytest.raises(ValueError):
             SampledFunction(g, np.array([0.0, 1.0, np.nan, 2.0]))
+
+
+def direct_recursion(gam, om, n):
+    """Reference: the explicit recursion as a direct O(n^2) loop."""
+    phi = np.empty(n + 1)
+    phi[0] = 1.0
+    for k in range(1, n + 1):
+        phi[k] = 1.0 - gam * float(np.dot(om[:k][::-1], phi[:k]))
+    return phi
+
+
+def direct_oracle(p, grid):
+    """Reference: the oracle's per-step scalar solve as a direct O(N^2) loop."""
+    refine = 4
+    hf = grid.h / (refine * p.tau0)
+    N = refine * grid.n
+    gam = _gamma_constant(p)
+    M0, M1 = _panel_moments(p.nu, hf, N)
+    a = M1 / hf
+    b = M0 - a
+    phi = np.empty(N + 1)
+    phi[0] = 1.0
+    pivot = 1.0 + gam * b[0]
+    for m in range(1, N + 1):
+        conv = float(np.dot(a[:m][::-1], phi[:m]))
+        if m >= 2:
+            conv += float(np.dot(b[1:m][::-1], phi[1:m]))
+        phi[m] = (1.0 - gam * conv) / pivot
+    return phi[::refine]
+
+
+def assert_matches_direct(p, grid):
+    rep = solve_relaxation(p, grid)
+    hp = grid.h / p.tau0
+    ref = direct_recursion(rep.gamma, weights(p.nu, hp, grid.n), grid.n)
+    ref2 = direct_recursion(rep.gamma, weights(p.nu, hp / 2.0, 2 * grid.n), 2 * grid.n)
+    phi = rep.solution.values
+    assert phi[0] == 1.0
+    assert abs(phi[1] - (1.0 - rep.gamma * weights(p.nu, hp, 1)[0])) <= 1e-15
+    assert float(np.max(np.abs(phi - ref))) <= 1e-13
+    ref_gap = float(np.max(np.abs(ref - ref2[::2])))
+    assert abs(rep.refinement_error - ref_gap) <= 1e-13
+
+
+REFERENCE_SIZES = [1, 2, 3, 7, 100, 1023, 1024, 1025, 2000]
+
+
+class TestFastPathReference:
+    @pytest.mark.parametrize("n", REFERENCE_SIZES)
+    @pytest.mark.parametrize("nu", [0.25, 0.5, 0.75, 1.0])
+    def test_solver_matches_direct_recursion(self, nu, n):
+        assert_matches_direct(MaterialParameters(nu=nu), UniformGrid(0.01, n))
+
+    @pytest.mark.parametrize("n", REFERENCE_SIZES)
+    @pytest.mark.parametrize("nu", [0.25, 0.5, 0.75, 1.0])
+    def test_oracle_matches_direct_loop(self, nu, n):
+        p = MaterialParameters(nu=nu)
+        grid = UniformGrid(0.01, n)
+        out = oracle_solve(p, grid).values
+        assert out[0] == 1.0
+        assert float(np.max(np.abs(out - direct_oracle(p, grid)))) <= 1e-13
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        nu=st.floats(min_value=0.1, max_value=1.0),
+        q=st.floats(min_value=0.1, max_value=5.0),
+        tau0=st.floats(min_value=0.1, max_value=10.0),
+        h=st.floats(min_value=1e-4, max_value=1.0),
+        n=st.integers(min_value=1, max_value=600),
+    )
+    def test_property_admissible_steps(self, nu, q, tau0, h, n):
+        p = MaterialParameters(q=q, tau0=tau0, nu=nu)
+        assume(_gamma_constant(p) * weights(nu, h / tau0, 1)[0] < 1.0)
+        assert_matches_direct(p, UniformGrid(h, n))
