@@ -10,7 +10,8 @@ figures         the four reference CSVs (creep and relaxation, linear and log)
 
 Exit status: 0 on success, 1 on validation failure, 2 when a check
 subcommand exceeds its documented tolerance.  Inputs must be finite, and
-the solving subcommands take at most MAX_STEPS = t-max/h steps.
+the solving subcommands take at most MAX_STEPS = t-max/h steps.  A curve
+with a non-finite value exits 1 before anything is written.
 """
 
 from __future__ import annotations
@@ -95,6 +96,10 @@ class RunConfig:
 
 
 def _fmt(v: float) -> str:
+    # every numeric cell passes here before _emit writes anything
+    if not math.isfinite(v):
+        raise _ValidationError(f"a result is not finite ({v}), most likely an "
+                               "overflow of double precision; nothing was written")
     return f"{v:.12g}"
 
 

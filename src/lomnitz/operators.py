@@ -266,6 +266,11 @@ def _warn_if_coarse(fine: float, coarse: float, warn_tol: float, who: str) -> No
         )
 
 
+def _worst(errors: list[float]) -> float:
+    """Largest error, NaN if any is NaN (``max`` would skip it), 0 if none."""
+    return float(np.max(errors, initial=0.0))
+
+
 def verify_power_law_property(cfg: OperatorConfig, beta: float,
                               t_samples: Sequence[float],
                               panels: int = 10_000) -> float:
@@ -273,7 +278,8 @@ def verify_power_law_property(cfg: OperatorConfig, beta: float,
 
     The operator sends ``ln^beta(a + b t)`` to
     ``Gamma(beta+1)/Gamma(beta+1-nu) * ln^(beta-nu)(a + b t)``; both sides are
-    evaluated at every sample and the largest relative discrepancy returned.
+    evaluated at every sample and the largest relative discrepancy returned
+    (NaN if any sample's is NaN).
 
     ``beta`` must be positive and nonzero: the operator annihilates
     constants (beta = 0), and for beta < 0 the defining integral diverges
@@ -283,22 +289,26 @@ def verify_power_law_property(cfg: OperatorConfig, beta: float,
         raise ValueError(f"beta must be positive, got {beta}")
     a, b, nu = cfg.a, cfg.b, cfg.nu
 
+    def log_arg(x):
+        # a + b*t_low can round to just below 1, where ln**beta is NaN
+        return np.maximum(a + b * np.asarray(x, dtype=float), 1.0)
+
     def f(x):
-        return np.log(a + b * np.asarray(x, dtype=float)) ** beta
+        return np.log(log_arg(x)) ** beta
 
     def df(x):
-        x = np.asarray(x, dtype=float)
-        return beta * np.log(a + b * x) ** (beta - 1.0) * b / (a + b * x)
+        s = log_arg(x)
+        return beta * np.log(s) ** (beta - 1.0) * b / s
 
     inp = DifferentiableInput(f=f, df=df, label=f"ln^{beta}")
     factor = gamma(beta + 1.0) * _rgamma(beta + 1.0 - nu)
-    worst = 0.0
+    errors = []
     for t in t_samples:
         t = _check_time(cfg, t)
         lhs = hadamard_derivative(cfg, inp, t, panels, warn_tol=math.inf)
         rhs = factor * math.log(a + b * t) ** (beta - nu)
-        worst = max(worst, abs(lhs - rhs) / abs(rhs))
-    return worst
+        errors.append(abs(lhs - rhs) / abs(rhs))
+    return _worst(errors)
 
 
 def verify_eigenfunction(cfg: OperatorConfig, t_samples: Sequence[float],
@@ -307,7 +317,7 @@ def verify_eigenfunction(cfg: OperatorConfig, t_samples: Sequence[float],
 
     With a = b = 1 the operator maps ``E_nu(-ln^nu(1+t))`` to its negative;
     this evaluates the operator at each sample and returns the largest
-    absolute difference from that target.
+    absolute difference from that target (NaN if any sample's is NaN).
     """
     if not (cfg.a == 1.0 and cfg.b == 1.0):
         raise ValueError("the eigenfunction identity requires a = b = 1")
@@ -327,11 +337,11 @@ def verify_eigenfunction(cfg: OperatorConfig, t_samples: Sequence[float],
         return -der * nu * L ** (nu - 1.0) / (1.0 + x)
 
     inp = DifferentiableInput(f=f, df=df, label="log-ml eigenfunction")
-    worst = 0.0
+    errors = []
     for t in t_samples:
         t = float(t)
         if not t > 0.0:
             raise ValueError(f"samples must be positive, got {t}")
         lhs = hadamard_derivative(cfg, inp, t, panels, warn_tol=math.inf)
-        worst = max(worst, abs(lhs + log_ml(nu, t)))
-    return worst
+        errors.append(abs(lhs + log_ml(nu, t)))
+    return _worst(errors)

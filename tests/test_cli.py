@@ -1,5 +1,9 @@
 import math
+import subprocess
+import sys
+import textwrap
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -174,3 +178,63 @@ class TestRobustness:
         err = capsys.readouterr().err
         assert "series did not terminate" in err
         assert "Traceback" not in err
+
+
+class TestNonFinite:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["creep", "--q", "1e308", "--nu", "1", "--t-max", "1e5"],
+            ["creep", "--tau0", "1e-320", "--nu", "0.5", "--t-max", "1e3"],
+        ],
+    )
+    def test_non_finite_output_exits_one_before_writing(self, argv, tmp_path, capsys):
+        assert run_cli(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "not finite" in captured.err
+        assert "Traceback" not in captured.err
+        out = tmp_path / "creep.csv"
+        assert run_cli(argv + ["--out", str(out)]) == 1
+        assert not out.exists()
+
+    def test_nan_residual_fails_operator_check(self, monkeypatch, capsys):
+        from lomnitz import operators
+
+        monkeypatch.setattr(operators, "hadamard_derivative",
+                            lambda *args, **kwargs: math.nan)
+        assert run_cli(["operator-check", "--nu", "0.5"]) == 2
+        out = capsys.readouterr().out
+        assert "nan" in out and "FAIL" in out
+        assert ",ok" not in out
+
+
+def test_every_subcommand_runs_without_mpmath(tmp_path):
+    # mpmath is a test-only dependency; None in sys.modules makes importing it fail
+    src = Path(cli.__file__).resolve().parents[1]
+    script = textwrap.dedent(
+        f"""
+        import sys
+        sys.modules["mpmath"] = None
+        sys.path.insert(0, {str(src)!r})
+        from lomnitz import cli
+        runs = [
+            ["creep", "--t-max", "10"],
+            ["relax", "--t-max", "1"],
+            ["operator-check", "--nu", "0.5"],
+            ["laplace-check"],
+            ["figures", "--t-max", "1", "--out", {str(tmp_path / "figs")!r}],
+        ]
+        for argv in runs:
+            try:
+                cli.main(argv)
+            except SystemExit as exc:
+                print(argv[0], exc.code, file=sys.stderr)
+        """
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    statuses = proc.stderr.split()
+    assert statuses == ["creep", "0", "relax", "0", "operator-check", "0",
+                        "laplace-check", "0", "figures", "0"], proc.stderr

@@ -1,9 +1,11 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from lomnitz import operators
 from lomnitz.operators import (
     AccuracyWarning,
     DifferentiableInput,
@@ -268,3 +270,29 @@ class TestEigenfunction:
         cfg = OperatorConfig(1.0, 1.0, 0.5)
         with pytest.raises(ValueError):
             verify_eigenfunction(cfg, [0.0])
+
+
+class TestResidualReductions:
+    def test_kernel_shift_rounding_below_one(self):
+        # a + b*t_low rounds to 1 - 1.1e-16 here, where ln**beta is NaN
+        cfg = OperatorConfig(0.020061733097926804, 0.6937632305983943, 0.49347400954646503)
+        assert cfg.a + cfg.b * cfg.t_low < 1.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            err = verify_power_law_property(
+                cfg, 0.5306447178643936, [1.57519594, 1.67174553, 10.65147619],
+                panels=2000,
+            )
+        assert 0.0 < err <= 1e-5
+
+    def test_nan_residuals_propagate(self, monkeypatch):
+        monkeypatch.setattr(operators, "hadamard_derivative",
+                            lambda *args, **kwargs: math.nan)
+        cfg = OperatorConfig(1.0, 1.0, 0.5)
+        assert math.isnan(verify_power_law_property(cfg, 1.0, [0.5, 1.0, 2.0]))
+        assert math.isnan(verify_eigenfunction(cfg, [0.5, 1.0, 2.0]))
+        # one NaN among finite residuals is not dropped either
+        calls = iter([0.0, math.nan, 0.0])
+        monkeypatch.setattr(operators, "hadamard_derivative",
+                            lambda *args, **kwargs: next(calls) - log_ml(0.5, args[2]))
+        assert math.isnan(verify_eigenfunction(cfg, [0.5, 1.0, 2.0]))

@@ -194,3 +194,128 @@ class TestArrayHelper:
         val, _ = _ml_arrays(0.5, xs)
         for i, x in enumerate(xs):
             assert val[i] == pytest.approx(mittag_leffler(0.5, float(x)), abs=1e-12)
+
+
+def ml_deriv_reference(nu, x):
+    """d/dx of the defining series, sum k x^(k-1) / Gamma(nu k + 1), in
+    extended precision sized from the peak term like ``ml_reference``."""
+    kpeak = max(1.0, abs(x) ** (1.0 / nu) / nu) if x != 0 else 1.0
+    ln_peak = kpeak * math.log(max(abs(x), 1.0)) - math.lgamma(nu * kpeak + 1.0)
+    dps = max(40, int(ln_peak / math.log(10.0)) + 40)
+    with mpmath.workdps(dps):
+        s = mpmath.mpf(0)
+        xm = mpmath.mpf(x)
+        k = 1
+        while True:
+            term = k * xm ** (k - 1) / mpmath.gamma(mpmath.mpf(nu) * k + 1)
+            s += term
+            k += 1
+            if k > kpeak + 20 and abs(term) < mpmath.mpf(10) ** -30:
+                break
+            assert k < 500_000
+        return float(s)
+
+
+def _oracle_affordable(nu, y):
+    """The series oracle's cost rule of ``test_against_series_oracle``."""
+    if y <= 1.0:
+        return True
+    if math.log(y) / nu - math.log(nu) > math.log(3000.0):
+        return False
+    kpeak = y ** (1.0 / nu) / nu
+    return kpeak * math.log(y) - math.lgamma(nu * kpeak + 1.0) <= 250
+
+
+def _oracle_y_max(nu, cap=50.0):
+    """Largest y <= cap the series oracle affords at order nu (bisection)."""
+    if _oracle_affordable(nu, cap):
+        return cap
+    lo, hi = 1.0, cap
+    for _ in range(50):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if _oracle_affordable(nu, mid) else (lo, mid)
+    return lo
+
+
+class TestContourEvaluator:
+    @settings(max_examples=30, deadline=None)
+    @given(
+        nu=st.floats(min_value=0.05, max_value=1.0),
+        u=st.floats(min_value=0.0, max_value=1.0),
+    )
+    def test_value_and_derivative_against_series_oracle(self, nu, u):
+        x = -u * _oracle_y_max(nu)
+        assert mittag_leffler(nu, x) == pytest.approx(ml_reference(nu, x), abs=1e-10)
+        assert _mittag_leffler_deriv(nu, x) == pytest.approx(
+            ml_deriv_reference(nu, x), abs=1e-10
+        )
+
+    @pytest.mark.parametrize("y", [5e-324, 1e-300, 1e-16])
+    @pytest.mark.parametrize("nu", [0.05, 0.25, 0.5, 0.75, 0.999999])
+    def test_tiny_arguments_stay_at_most_one(self, nu, y):
+        v = mittag_leffler(nu, -y)
+        assert 0.0 < v <= 1.0
+        val, _ = _ml_arrays(nu, np.array([-y]))
+        assert 0.0 < val[0] <= 1.0
+
+    @pytest.mark.parametrize("nu", [0.05, 0.25, 0.5, 0.75, 0.9, 0.999999])
+    def test_arrays_match_scalar_calls_on_mixed_arguments(self, nu):
+        rng = np.random.default_rng(7)
+        xs = np.concatenate(
+            [[0.0, -5e-324, -1e-300, -1e-16, -1.0, -50.0], -rng.uniform(0.0, 50.0, 40),
+             -rng.uniform(0.0, 1.2, 20)]
+        )
+        rng.shuffle(xs)
+        val, der = _ml_arrays(nu, xs.reshape(6, 11))
+        for x, v, d in zip(xs, val.ravel(), der.ravel()):
+            assert v == pytest.approx(mittag_leffler(nu, float(x)), abs=1e-12)
+            assert d == pytest.approx(_mittag_leffler_deriv(nu, float(x)), abs=1e-12)
+
+    def test_arrays_match_scalar_calls_in_former_fallback_band(self):
+        # nu = 0.25 at ln(1 + t) for t in [150, 250]: the eigenfunction check
+        # at long times, where the previous array sweep went scalar
+        nu = 0.25
+        xs = -np.log1p(np.linspace(150.0, 250.0, 41)) ** nu
+        val, der = _ml_arrays(nu, xs)
+        for x, v, d in zip(xs, val, der):
+            assert v == pytest.approx(mittag_leffler(nu, float(x)), abs=1e-12)
+            assert d == pytest.approx(_mittag_leffler_deriv(nu, float(x)), abs=1e-12)
+
+    def test_more_arguments_than_one_block(self):
+        xs = -np.linspace(0.0, 50.0, 3 * 512 + 7)
+        val, der = _ml_arrays(0.6, xs)
+        for i in [0, 511, 512, 1023, 1024, 1535, 1536, len(xs) - 1]:
+            assert val[i] == pytest.approx(mittag_leffler(0.6, float(xs[i])), abs=1e-12)
+            assert der[i] == pytest.approx(
+                _mittag_leffler_deriv(0.6, float(xs[i])), abs=1e-12
+            )
+
+    def test_half_order_matches_erfcx_on_a_wide_range(self):
+        # E_{1/2}(-y) = erfcx(y), also where the contour meets the Taylor sum
+        from scipy.special import erfcx
+
+        ys = np.concatenate([np.logspace(-8, 4, 400), [1.0, np.nextafter(1.0, 2.0)]])
+        val, _ = _ml_arrays(0.5, -ys)
+        assert np.max(np.abs(val - erfcx(ys))) <= 1e-14
+
+    @pytest.mark.parametrize("nu", [1e-3, 0.02])
+    def test_small_orders_against_integral_representation(self, nu):
+        # below the series oracle's reach: with v = r**nu the Laplace-type
+        # representation reads E_nu(-y) = sin(pi nu)/(pi nu) *
+        # int_0^inf exp(-(v y)^(1/nu)) / (v^2 + 2 v cos(pi nu) + 1) dv
+        ys = [0.3, 0.9, 1.5, 10.0]
+        val, _ = _ml_arrays(nu, -np.array(ys))
+        with mpmath.workdps(30):
+            c = mpmath.cos(mpmath.pi * nu)
+            for y, v in zip(ys, val):
+                ym = mpmath.mpf(y)
+                f = lambda w: mpmath.exp(-((w * ym) ** (1 / mpmath.mpf(nu)))) / (
+                    w**2 + 2 * w * c + 1
+                )
+                b = 1 / ym
+                pts = [0, 0.5 * b, 0.9 * b, 0.99 * b, b, 1.01 * b, 1.1 * b, 2 * b,
+                       10 * b, mpmath.inf]
+                ref = mpmath.quad(f, pts, maxdegree=10) * mpmath.sin(mpmath.pi * nu) / (
+                    mpmath.pi * nu
+                )
+                assert v == pytest.approx(float(ref), abs=1e-13)
