@@ -7,6 +7,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .special_functions import gamma
 
 __all__ = [
@@ -58,15 +60,20 @@ class MaterialParameters:
             )
 
 
-def creep_psi(p: MaterialParameters, t: float) -> float:
+def creep_psi(p: MaterialParameters, t):
     """Dimensionless creep function q ln^nu(1 + t/tau0) / Gamma(1 + nu).
 
+    ``t`` is a float or an array of times; the result is of the same kind.
     Zero at t = 0 and nondecreasing; unbounded as t grows (fluid-like).
+    Values beyond double precision are ``inf``, without a warning.
     """
-    t = float(t)
-    if t < 0.0:
-        raise ValueError(f"time must be nonnegative, got {t}")
-    return p.q * math.log1p(t / p.tau0) ** p.nu / gamma(1.0 + p.nu)
+    t = np.asarray(t, dtype=float)
+    negative = t < 0.0
+    if negative.any():
+        raise ValueError(f"time must be nonnegative, got {t[negative][0]}")
+    with np.errstate(over="ignore"):
+        psi = p.q * np.log1p(t / p.tau0) ** p.nu / gamma(1.0 + p.nu)
+    return psi if psi.ndim else float(psi)
 
 
 def creep_rate(p: MaterialParameters, t: float) -> float:

@@ -102,8 +102,7 @@ def check_laplace_identity(
                 f"horizon T = {T:g} too short for probe s = {s:g}: "
                 f"need s*T >= {_MIN_HORIZON_PRODUCT:g}"
             )
-    psi_vals = np.array([creep_psi(p, float(t)) for t in phi.grid.times])
-    psi = SampledFunction(phi.grid, psi_vals, label=f"psi nu={p.nu:g}")
+    psi = SampledFunction(phi.grid, creep_psi(p, phi.grid.times), label=f"psi nu={p.nu:g}")
     residuals = np.empty(len(probes))
     for i, s in enumerate(probes):
         s = float(s)

@@ -133,6 +133,13 @@ def _fd_derivative(inp: DifferentiableInput, tau: np.ndarray, t_low: float):
     return rich, disagreement
 
 
+def _derivative_values(inp: DifferentiableInput, tau: np.ndarray, t_low: float):
+    """``inp.df`` at ``tau`` with disagreement 0, or else ``_fd_derivative``."""
+    if inp.df is not None:
+        return _eval_on(inp.df, tau), 0.0
+    return _fd_derivative(inp, tau, t_low)
+
+
 def _integral_once(alpha: float, cfg: OperatorConfig, inp: DifferentiableInput,
                    t: float, m: int) -> float:
     U = math.log(cfg.a + cfg.b * t)
@@ -159,11 +166,7 @@ def _derivative_once(cfg: OperatorConfig, inp: DifferentiableInput,
     fv = _eval_on(inp.f, tau[: k0 + 1])
     head = float(np.dot(W[:k0], np.diff(fv) / delta))
     tail_tau = tau[k0:]
-    disagreement = 0.0
-    if inp.df is not None:
-        dfv = _eval_on(inp.df, tail_tau)
-    else:
-        dfv, disagreement = _fd_derivative(inp, tail_tau, cfg.t_low)
+    dfv, disagreement = _derivative_values(inp, tail_tau, cfg.t_low)
     gv = (cfg.a / cfg.b + tail_tau) * dfv
     tail = float(np.dot(A[k0:], gv[:-1]) + np.dot(B[k0:], gv[1:]))
     return (head + tail) / gamma(alpha), disagreement
@@ -215,35 +218,27 @@ def hadamard_derivative(cfg: OperatorConfig, inp: DifferentiableInput, t: float,
     """
     t = _check_time(cfg, t)
     if cfg.nu == 1.0:
-        if inp.df is not None:
-            dft = float(np.asarray(_eval_on(inp.df, np.array([t])))[0])
-        else:
-            dfv, disagreement = _fd_derivative(inp, np.array([t]), cfg.t_low)
-            dft = float(dfv[0])
-            if disagreement > 1e-5:
-                warnings.warn(
-                    f"finite-difference derivative uncertain (rel {disagreement:.2e})",
-                    DerivativeWarning,
-                    stacklevel=2,
-                )
-        return (cfg.a / cfg.b + t) * dft
-    m = _check_panels(panels)
-    fine, disagreement = _derivative_once(cfg, inp, t, m)
-    coarse, _ = _derivative_once(cfg, inp, t, max(2, m // 2))
-    _warn_if_coarse(fine, coarse, warn_tol, "hadamard_derivative")
-    if inp.df is None and disagreement > 1e-5:
+        dfv, disagreement = _derivative_values(inp, np.array([t]), cfg.t_low)
+        value = (cfg.a / cfg.b + t) * float(dfv[0])
+    else:
+        m = _check_panels(panels)
+        value, disagreement = _derivative_once(cfg, inp, t, m)
+        coarse, _ = _derivative_once(cfg, inp, t, max(2, m // 2))
+        _warn_if_coarse(value, coarse, warn_tol, "hadamard_derivative")
+    if disagreement > 1e-5:
         warnings.warn(
             f"finite-difference derivative uncertain (rel {disagreement:.2e})",
             DerivativeWarning,
             stacklevel=2,
         )
-    return fine
+    return value
 
 
 def _check_time(cfg: OperatorConfig, t: float) -> float:
     t = float(t)
-    if not t > cfg.t_low:
-        raise ValueError(f"time must exceed t_low = {cfg.t_low}, got {t}")
+    # written so that NaN fails the test
+    if not cfg.t_low < t < math.inf:
+        raise ValueError(f"time must be finite and exceed t_low = {cfg.t_low}, got {t}")
     return t
 
 

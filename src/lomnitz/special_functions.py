@@ -290,15 +290,15 @@ def _mittag_leffler_deriv(nu: float, x: float) -> float:
 
 
 def log_ml(nu: float, t: float) -> float:
-    """E_nu(-ln^nu(1 + t)) for t >= 0.
+    """E_nu(-ln^nu(1 + t)) for finite t >= 0.
 
     Decreasing in ``t``, equal to 1 at ``t = 0``; for ``nu = 1`` this is
     exactly ``1 / (1 + t)``.
     """
     nu = _check_nu(nu)
     t = float(t)
-    if t < 0.0:
-        raise ValueError(f"time must be nonnegative, got {t}")
+    if not 0.0 <= t < math.inf:
+        raise ValueError(f"time must be nonnegative and finite, got {t}")
     if t == 0.0:
         return 1.0
     return _ml_eval(nu, -math.log1p(t) ** nu, deriv=False)

@@ -1,4 +1,5 @@
 import math
+import os
 import subprocess
 import sys
 import textwrap
@@ -238,3 +239,43 @@ def test_every_subcommand_runs_without_mpmath(tmp_path):
     statuses = proc.stderr.split()
     assert statuses == ["creep", "0", "relax", "0", "operator-check", "0",
                         "laplace-check", "0", "figures", "0"], proc.stderr
+
+
+class TestOneStepRule:
+    def test_figures_inadmissible_step_leaves_nothing(self, tmp_path, capsys):
+        out_dir = tmp_path / "figs"
+        assert run_cli(["figures", "--h", "3", "--out", str(out_dir)]) == 1
+        assert "use h <" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    def test_relax_one_inadmissible_order_writes_no_file(self, tmp_path, capsys):
+        # h = 1.5 is admissible for nu = 1 and not for nu = 0.25
+        out = tmp_path / "X"
+        assert run_cli(["relax", "--nu", "1,0.25", "--h", "1.5", "--t-max", "3",
+                        "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "nu = 0.25" in err and "use h <" in err
+        assert not out.exists()
+
+    def test_validate_leaves_the_step_rule_to_the_solver(self):
+        cli.RunConfig("relax", nu_list=[0.5], q=5.0, h=10.0, t_max=50.0).validate()
+        cli.RunConfig("figures", h=3.0).validate()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["creep", "--q", "1e308", "--nu", "1", "--t-max", "1e5"],
+        ["creep", "--tau0", "1e-320", "--nu", "0.5", "--t-max", "1e3"],
+    ],
+)
+def test_overflow_refusal_is_the_only_stderr_line(argv):
+    # a subprocess, because pytest would capture a numpy RuntimeWarning in process
+    src = Path(cli.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run([sys.executable, "-m", "lomnitz.cli", *argv], capture_output=True,
+                          text=True, timeout=60, env=env)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and "not finite" in lines[0], proc.stderr

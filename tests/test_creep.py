@@ -174,3 +174,32 @@ class TestAsymptotics:
             creep_asymptotic(p, 0.5, "sideways")
         with pytest.raises(ValueError):
             creep_asymptotic(MaterialParameters(q=2.0, nu=0.5), 0.5, "small_time")
+
+
+class TestCreepPsiArrays:
+    GRID = np.concatenate(([0.0], np.geomspace(1e-9, 1e9, 400), np.linspace(0.0, 50.0, 401)))
+
+    @pytest.mark.parametrize("nu", [0.05, 0.25, 0.5, 0.75, 1.0])
+    @pytest.mark.parametrize("q,tau0", [(1.0, 1.0), (1.3, 0.6), (1e5, 1e-5)])
+    def test_array_matches_scalar_calls_and_libm_loop(self, nu, q, tau0):
+        p = MaterialParameters(q=q, tau0=tau0, nu=nu)
+        got = creep_psi(p, self.GRID)
+        assert got.shape == self.GRID.shape
+        scalar = np.array([creep_psi(p, float(t)) for t in self.GRID])
+        # the loop this function replaced, with libm's log1p and pow
+        loop = np.array([q * math.log1p(t / tau0) ** nu / gamma(1.0 + nu) for t in self.GRID])
+        assert got[0] == 0.0
+        np.testing.assert_allclose(got, scalar, rtol=1e-15, atol=0.0)
+        np.testing.assert_allclose(got, loop, rtol=1e-15, atol=0.0)
+
+    def test_float_in_float_out(self):
+        p = MaterialParameters(nu=0.5)
+        assert type(creep_psi(p, 2.0)) is float
+        assert type(creep_psi(p, 0)) is float
+        assert type(creep_psi(p, np.float64(2.0))) is float
+
+    def test_one_negative_entry_raises(self):
+        times = np.linspace(0.0, 10.0, 11)
+        times[7] = -1e-300
+        with pytest.raises(ValueError, match="nonnegative"):
+            creep_psi(MaterialParameters(nu=0.5), times)

@@ -296,3 +296,34 @@ class TestResidualReductions:
         monkeypatch.setattr(operators, "hadamard_derivative",
                             lambda *args, **kwargs: next(calls) - log_ml(0.5, args[2]))
         assert math.isnan(verify_eigenfunction(cfg, [0.5, 1.0, 2.0]))
+
+
+class TestNonFiniteTime:
+    INPUT = DifferentiableInput(f=lambda x: np.log1p(np.asarray(x, dtype=float)))
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf])
+    @pytest.mark.parametrize("nu", [0.5, 1.0])
+    def test_operators_reject_non_finite_time(self, nu, t):
+        cfg = OperatorConfig(1.0, 1.0, nu)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="finite"):
+                hadamard_derivative(cfg, self.INPUT, t, 100)
+            with pytest.raises(ValueError, match="finite"):
+                hadamard_integral(cfg, self.INPUT, t, 100)
+
+    def test_eigenfunction_check_rejects_infinite_sample(self):
+        with pytest.raises(ValueError, match="finite"):
+            verify_eigenfunction(OperatorConfig(1.0, 1.0, 0.5), [1.0, math.inf], panels=100)
+
+
+class TestDerivativeWarningOnce:
+    @pytest.mark.parametrize("nu", [0.5, 1.0])
+    def test_one_warning_per_call_on_both_branches(self, nu):
+        from lomnitz.operators import DerivativeWarning
+
+        inp = DifferentiableInput(f=lambda x: np.sin(1e6 * np.asarray(x, float)))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            hadamard_derivative(OperatorConfig(1.0, 1.0, nu), inp, 3.0, 64, warn_tol=math.inf)
+        assert [w.category for w in caught] == [DerivativeWarning]

@@ -319,3 +319,11 @@ class TestContourEvaluator:
                     mpmath.pi * nu
                 )
                 assert v == pytest.approx(float(ref), abs=1e-13)
+
+
+class TestLogMlNonFinite:
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("nu", [0.5, 1.0])
+    def test_non_finite_time_raises(self, nu, t):
+        with pytest.raises(ValueError, match="finite"):
+            log_ml(nu, t)
