@@ -67,10 +67,11 @@ def creep_psi(p: MaterialParameters, t):
     Zero at t = 0 and nondecreasing; unbounded as t grows (fluid-like).
     Values beyond double precision are ``inf``, without a warning.
     """
-    t = np.asarray(t, dtype=float)
+    # [()] turns a 0-d array into a numpy scalar, whose arithmetic is cheaper
+    t = np.asarray(t, dtype=float)[()]
     negative = t < 0.0
-    if negative.any():
-        raise ValueError(f"time must be nonnegative, got {t[negative][0]}")
+    if np.count_nonzero(negative):
+        raise ValueError(f"time must be nonnegative, got {np.extract(negative, t)[0]}")
     with np.errstate(over="ignore"):
         psi = p.q * np.log1p(t / p.tau0) ** p.nu / gamma(1.0 + p.nu)
     return psi if psi.ndim else float(psi)

@@ -120,6 +120,8 @@ def weights(nu: float, h: float, count: int) -> np.ndarray:
         raise ValueError(f"step must be positive, got {h}")
     if not count >= 1:
         raise ValueError(f"count must be at least 1, got {count}")
+    if not math.isfinite(count * h):
+        raise ValueError(f"horizon count*h = {count} * {h} exceeds double precision")
     g = np.log1p(np.arange(count + 1, dtype=float) * h) ** nu / nu
     return np.diff(g)
 
@@ -178,13 +180,15 @@ def solve_relaxation(p: MaterialParameters, grid: UniformGrid) -> SolverReport:
     start = time.perf_counter()
     hp = grid.h / p.tau0
     gamma_c = _gamma_constant(p)
-    om = weights(p.nu, hp, grid.n)
-    if gamma_c * om[0] >= 1.0:
+    # Omega_1 = ln^nu(1 + h/tau0)/nu; written so that h/tau0 = inf fails too
+    step_gain = gamma_c * math.log1p(hp) ** p.nu / p.nu
+    if not step_gain < 1.0:
         raise StepSizeError(
             f"step h = {grid.h} too large for nu = {p.nu}, q = {p.q}: "
-            f"gamma*Omega_1 = {gamma_c * om[0]:.4g} >= 1; "
+            f"gamma*Omega_1 = {step_gain:.4g} >= 1; "
             f"use h < {_max_admissible_step(p):.4g}"
         )
+    om = weights(p.nu, hp, grid.n)
     phi = _forward_recursion(gamma_c, om, grid.n)
     om2 = weights(p.nu, hp / 2.0, 2 * grid.n)
     phi2 = _forward_recursion(gamma_c, om2, 2 * grid.n)

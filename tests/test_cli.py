@@ -270,6 +270,24 @@ class TestOneStepRule:
     ],
 )
 def test_overflow_refusal_is_the_only_stderr_line(argv):
+    assert_only_refusal(argv, "not finite")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        # h/tau0 overflows to inf, so Omega_1 cannot be computed
+        (["relax", "--tau0", "1e-320"], "use h <"),
+        # h/tau0 = 1e308 is admissible for this q, but the horizon overflows
+        (["relax", "--q", "1e-5", "--tau0", "1e-310", "--t-max", "0.05"],
+         "exceeds double precision"),
+    ],
+)
+def test_overflowing_step_refusal_is_the_only_stderr_line(argv, message):
+    assert_only_refusal(argv, message)
+
+
+def assert_only_refusal(argv, message):
     # a subprocess, because pytest would capture a numpy RuntimeWarning in process
     src = Path(cli.__file__).resolve().parents[1]
     env = {**os.environ, "PYTHONPATH": str(src)}
@@ -278,4 +296,4 @@ def test_overflow_refusal_is_the_only_stderr_line(argv):
     assert proc.returncode == 1
     assert proc.stdout == ""
     lines = proc.stderr.splitlines()
-    assert len(lines) == 1 and "not finite" in lines[0], proc.stderr
+    assert len(lines) == 1 and message in lines[0], proc.stderr

@@ -4,16 +4,12 @@ Each run's stdout, and each file that ``figures`` writes, is compared with
 ``tests/data/golden``.  Files of up to 64 KB are stored whole, and a
 mismatch names the first differing line; larger ones are stored as a
 SHA-256 digest in ``<name>.sha256``.
-
-Regenerate the files (only for a reviewed change of output) with
-``PYTHONPATH=src python tests/test_golden.py``.
 """
 
 import contextlib
 import hashlib
 import io
 import os
-import tempfile
 from pathlib import Path
 
 import pytest
@@ -21,7 +17,6 @@ import pytest
 from lomnitz import cli
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
-MAX_WHOLE = 64 * 1024
 FIGURE_FILES = ("creep_linear.csv", "creep_log.csv", "relax_linear.csv", "relax_log.csv")
 
 RUNS = {
@@ -86,19 +81,3 @@ def test_cli_output_matches_golden(name, tmp_path):
             digest = (GOLDEN / f"{key}.sha256").read_text().strip()
             assert hashlib.sha256(data).hexdigest() == digest, f"{key}: SHA-256 differs"
 
-
-def _regenerate() -> None:
-    GOLDEN.mkdir(parents=True, exist_ok=True)
-    for old in GOLDEN.iterdir():
-        old.unlink()
-    for name in RUNS:
-        with tempfile.TemporaryDirectory() as tmp:
-            for key, data in outputs(name, Path(tmp)).items():
-                if len(data) <= MAX_WHOLE:
-                    (GOLDEN / key).write_bytes(data)
-                else:
-                    (GOLDEN / f"{key}.sha256").write_text(hashlib.sha256(data).hexdigest() + "\n")
-
-
-if __name__ == "__main__":
-    _regenerate()
